@@ -31,8 +31,6 @@ def stable_hash(data) -> int:
         data = data.encode("utf-8")
     elif isinstance(data, int):
         data = data.to_bytes(8, "little", signed=True)
-    elif isinstance(data, bool):  # pragma: no cover - bool is int subclass
-        data = bytes([int(data)])
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"stable_hash does not support {type(data).__name__}")
     h = _FNV_OFFSET

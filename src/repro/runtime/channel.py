@@ -61,12 +61,15 @@ class TaskChannel:
 
     # -- consumer side ----------------------------------------------------------
 
+    # ``close`` appends EOS and ``push`` refuses a closed channel, so EOS
+    # is only ever the last queued item: occupancy and readiness are O(1).
+
     def __len__(self) -> int:
-        return sum(1 for item in self._queue if item is not EOS)
+        return len(self._queue) - (self._closed and not self._eos_delivered)
 
     def ready(self) -> bool:
         """True if a data item (not EOS) is available."""
-        return len(self) > 0
+        return bool(self._queue) and self._queue[0] is not EOS
 
     def empty(self) -> bool:
         return not self._queue
@@ -79,9 +82,7 @@ class TaskChannel:
 
     def at_eos(self) -> bool:
         """True once the producer closed and all data was consumed."""
-        return self._eos_delivered or (
-            self._closed and len(self._queue) == 1 and self._queue[0] is EOS
-        )
+        return self._eos_delivered or (self._closed and len(self._queue) == 1)
 
     def exhausted(self) -> bool:
         """True when EOS has been popped: no more data will ever arrive."""

@@ -49,7 +49,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Type
 
 from repro.core.errors import RuntimeFlickError
-from repro.core.ids import stable_hash
 from repro.runtime.qos import closest_name
 
 #: The three policies evaluated in the paper (section 6.4, Figure 7).
@@ -125,7 +124,7 @@ class SchedulingPolicy:
         hint = getattr(task, "home_hint", None)
         if hint is not None:
             return workers[hint % len(workers)]
-        return workers[stable_hash(task.task_id) % len(workers)]
+        return workers[task.placement_hash % len(workers)]
 
     def select_victim(self, worker, workers: Sequence) -> Optional[object]:
         """Pick the foreign queue to steal from (longest, first on ties).
@@ -565,7 +564,7 @@ class NumaPolicy(SchedulingPolicy):
         if hint is not None:
             return workers[hint % len(workers)]
         groups = self._groups(workers)
-        members = groups[stable_hash(task.task_id) % len(groups)]
+        members = groups[task.placement_hash % len(groups)]
         return min(members, key=lambda w: (len(w.queue), w.index))
 
     def select_victim(self, worker, workers: Sequence) -> Optional[object]:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.core.errors import RuntimeFlickError
+from repro.core.ids import stable_hash
 from repro.runtime.allocator import AllocView, resolve_allocator
 from repro.runtime.costs import SCHEDULE_US, STEAL_US
 from repro.runtime.policy import resolve_policy
@@ -563,6 +564,9 @@ class TaskBase:
         self.pending_wakeup = False
         self.items_processed = 0
         self.busy_us = 0.0
+        # Hash placement reads this at every wake.  It is kept per task,
+        # not per worker, because the allocator can change the worker count.
+        self.placement_hash = stable_hash(self.task_id)
 
     @classmethod
     def reset_ids(cls, start: int = 1) -> None:

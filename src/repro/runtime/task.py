@@ -392,12 +392,21 @@ class OutputTask(TaskBase):
         return elapsed, emissions
 
 
+#: Marks a merge input whose head key has not been computed yet.
+_NO_KEY = object()
+
+
 class MergeTask(TaskBase):
     """One foldt tree node: streaming merge-combine of two sorted inputs.
 
     Emits a sorted stream with unique keys: consecutive equal-key elements
     (across or within inputs) are combined with the foldt body.  Closes
     its output when both inputs are exhausted.
+
+    Each input's head key is computed once and kept until that head is
+    popped (this task is the channel's only consumer, so nothing else can
+    change a non-empty channel's head); the pending element keeps its key
+    too, so one key is derived per element plus one per combine.
     """
 
     def __init__(
@@ -416,75 +425,79 @@ class MergeTask(TaskBase):
         self._key = key_fn
         self._combine = combine_fn
         self._pending: Optional[Record] = None  # last element, not yet final
+        self._pending_key = None
+        self._left_key = _NO_KEY  # key of the left head, once computed
+        self._right_key = _NO_KEY
         self._done = False
-
-    @staticmethod
-    def _finished(chan: TaskChannel) -> bool:
-        """No further data will ever arrive on ``chan``."""
-        return chan.exhausted() or chan.at_eos()
 
     def has_work(self) -> bool:
         if self._done or not self._out.has_space():
             return False
         left, right = self._left, self._right
-        if left.ready() and (right.ready() or self._finished(right)):
+        if left.ready() and (right.ready() or right.at_eos()):
             return True
-        if right.ready() and self._finished(left):
+        if right.ready() and left.at_eos():
             return True
-        return self._finished(left) and self._finished(right)
-
-    def _take_next(self) -> Optional[Record]:
-        """Pop the smaller-keyed head, if the choice is decidable."""
-        left, right = self._left, self._right
-        lhead = left.peek() if left.ready() else None
-        rhead = right.peek() if right.ready() else None
-        if lhead is not None and rhead is not None:
-            if self._key(lhead) <= self._key(rhead):
-                return left.pop()
-            return right.pop()
-        if lhead is not None and self._finished(right):
-            return left.pop()
-        if rhead is not None and self._finished(left):
-            return right.pop()
-        return None
-
-    def _drain_eos(self) -> None:
-        for chan in (self._left, self._right):
-            if chan.at_eos() and not chan.exhausted():
-                chan.pop()  # consume the EOS marker
+        return left.at_eos() and right.at_eos()
 
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
         emissions: List[Callable[[], None]] = []
         out = self._out
-        while self.has_work():
-            self._drain_eos()
-            element = self._take_next()
-            if element is not None:
-                elapsed += TASK_DISPATCH_US
-                if self._pending is None:
-                    self._pending = element
-                elif self._key(self._pending) == self._key(element):
-                    self._pending, ops = self._combine(self._pending, element)
-                    elapsed += ops_to_us(ops)
+        # Output pushes are deferred to the emissions, so the output's
+        # free space cannot change during one step.
+        if self._done or not out.has_space():
+            return elapsed, emissions
+        left, right, key = self._left, self._right, self._key
+        left_key, right_key = self._left_key, self._right_key
+        pending, pending_key = self._pending, self._pending_key
+        while True:
+            if left.ready():
+                if right.ready():
+                    if left_key is _NO_KEY:
+                        left_key = key(left.peek())
+                    if right_key is _NO_KEY:
+                        right_key = key(right.peek())
+                    take_left = left_key <= right_key
+                elif right.at_eos():
+                    take_left = True
                 else:
-                    done = self._pending
-                    emissions.append(lambda r=done: out.push(r))
-                    self._pending = element
-                self.items_processed += 1
-            elif self._left.exhausted() and self._right.exhausted():
-                if self._pending is not None:
-                    done = self._pending
-                    emissions.append(lambda r=done: out.push(r))
-                    self._pending = None
-                emissions.append(out.close)
-                self._done = True
-                break
+                    break
+            elif right.ready() and left.at_eos():
+                take_left = False
             else:
+                if left.at_eos() and right.at_eos():
+                    for chan in (left, right):
+                        if not chan.exhausted():
+                            chan.pop()  # consume the EOS marker
+                    if pending is not None:
+                        emissions.append(lambda r=pending: out.push(r))
+                        pending = None
+                    emissions.append(out.close)
+                    self._done = True
                 break
+            if take_left:
+                chan, head_key, left_key = left, left_key, _NO_KEY
+            else:
+                chan, head_key, right_key = right, right_key, _NO_KEY
+            element = chan.pop()
+            element_key = key(element) if head_key is _NO_KEY else head_key
+            elapsed += TASK_DISPATCH_US
+            if pending is None:
+                pending, pending_key = element, element_key
+            elif pending_key == element_key:
+                pending, ops = self._combine(pending, element)
+                pending_key = key(pending)
+                elapsed += ops_to_us(ops)
+            else:
+                emissions.append(lambda r=pending: out.push(r))
+                pending, pending_key = element, element_key
+            self.items_processed += 1
             if budget_us == 0.0:
                 break
             if budget_us is not None and elapsed >= budget_us:
                 break
+        self._left_key, self._right_key = left_key, right_key
+        self._pending, self._pending_key = pending, pending_key
         self.busy_us += elapsed
         return elapsed, emissions

@@ -10,6 +10,7 @@ stream and exposes completion and throughput.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.core.ids import stable_hash
@@ -34,6 +35,16 @@ def make_word(index: int, word_len: int) -> str:
     return "".join(chars)
 
 
+@lru_cache(maxsize=16)
+def _sorted_vocabulary(word_len: int, vocabulary: int) -> Tuple[str, ...]:
+    """The distinct words of the first ``vocabulary`` indices, sorted.
+
+    Every mapper of a job draws from the same vocabulary, so it is built
+    once per ``(word_len, vocabulary)`` rather than once per mapper.
+    """
+    return tuple(sorted({make_word(i, word_len) for i in range(vocabulary)}))
+
+
 def generate_mapper_output(
     mapper_index: int,
     total_bytes: int,
@@ -48,9 +59,7 @@ def generate_mapper_output(
     """
     pair_bytes = 2 + 4 + word_len + 2  # key_len + value_len + key + ~value
     n_pairs = max(1, total_bytes // pair_bytes)
-    words = sorted(
-        {make_word(i, word_len) for i in range(vocabulary)}
-    )
+    words = _sorted_vocabulary(word_len, vocabulary)
     pairs: List[Tuple[str, str]] = []
     for i in range(n_pairs):
         word = words[stable_hash((mapper_index, i)) % len(words)]
